@@ -210,22 +210,31 @@ const pruneLen = 64
 // quantum-stepped driver guarantees request timestamps regress by at most a
 // few quanta; a generous slack keeps pruning safe.
 //
+// Ends are monotone (the list is sorted by start and disjoint), so the
+// stale entries — those ending before the horizon — are always a prefix: a
+// binary search finds where it stops and a single memmove drops it. When
+// more than pruneLen intervals are live inside the slack, place calls
+// prune on every placement and it removes nothing; the search keeps that
+// case logarithmic.
+//
 //snug:hotpath
 //snug:inline
 func (c *calendar) prune(now int64) {
 	const slack = 4096
-	cut := now - slack
-	if cut > c.horizon {
+	if cut := now - slack; cut > c.horizon {
 		c.horizon = cut
 	}
-	w := 0
-	for _, iv := range c.busy {
-		if iv.end >= c.horizon {
-			c.busy[w] = iv
-			w++
+	busy := c.busy
+	lo, hi := 0, len(busy)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if busy[mid].end < c.horizon {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	c.busy = c.busy[:w]
+	c.busy = busy[:copy(busy, busy[lo:])]
 }
 
 // hasGap reports whether the calendar is free for dur cycles at exactly t:

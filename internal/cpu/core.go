@@ -215,10 +215,10 @@ const pendBatch = 256
 // dedicated per-core goroutine whose mem parks at a coordinator (see
 // MemFunc). Run itself never touches cross-core state.
 //
-// Streams implementing isa.BatchStream (trace replays) are consumed
-// through a persistent decode-ahead buffer: one NextBatch call decodes
-// pendBatch instructions in a tight loop, replacing pendBatch interface
-// dispatches. Instructions decoded past a quantum boundary stay buffered
+// Streams implementing isa.BatchStream (trace replays and the live
+// generators) are consumed through a persistent decode-ahead buffer: one
+// NextBatch call decodes pendBatch instructions in a tight loop, replacing
+// pendBatch interface dispatches. Instructions decoded past a quantum boundary stay buffered
 // for the next Run call, so the consumed stream prefix — and therefore
 // every simulation result — is identical to the one-at-a-time path.
 //
@@ -247,7 +247,7 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 	}
 	in := &c.next
 	for c.clock < until {
-		stream.Next(in) //snug:allow hotdispatch generator fallback: only non-batch streams pay the per-instruction dispatch
+		stream.Next(in) //snug:allow hotdispatch fallback for streams without NextBatch (instrumentation wrappers); the simulator's own streams all batch
 		c.step(in, mem)
 	}
 	return c.stats.Instructions - before

@@ -93,8 +93,8 @@ type Stream interface {
 // instructions in bulk: one NextBatch call replaces len(dst) interface
 // dispatches, and implementations keep their cursor state in registers
 // across the batch. The core model's run loop uses it when available
-// (trace replays implement it); semantics are identical to calling Next
-// len(dst) times.
+// (trace replays and the live generators implement it); semantics are
+// identical to calling Next len(dst) times.
 type BatchStream interface {
 	Stream
 	// NextBatch fills dst with the next instructions of the stream and

@@ -1,5 +1,10 @@
 package stats
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**-style state initialized by splitmix64). The simulator must
 // be bit-for-bit reproducible for a given seed across Go releases, so it
@@ -23,20 +28,20 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
+//
+// The state is worked in locals and written back in one assignment, and
+// the rotations use bits.RotateLeft64: that keeps Uint64 within the
+// compiler's inlining budget, so every draw in the generators'
+// per-instruction path inlines. The sequence is unchanged.
+//
+//snug:inline
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
-
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -53,6 +58,36 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// Uint53 returns the next 53-bit draw: the integer Float64 scales into
+// [0, 1).
+//
+//snug:inline
+func (r *RNG) Uint53() uint64 { return r.Uint64() >> 11 }
+
+// Below reports whether the next 53-bit draw is below the threshold t. With
+// t = Threshold(p) it consumes the same draw and returns the same result as
+// Bool(p), using an integer compare instead of a float conversion.
+//
+//snug:inline
+func (r *RNG) Below(t uint64) bool { return r.Uint53() < t }
+
+// Threshold converts a probability into the integer threshold Below
+// compares against. A draw x = Uint53() is below 2^53, so Float64 is
+// exactly x/2^53 and the comparison x/2^53 < p holds exactly when
+// x < ceil(p·2^53); scaling by 2^53 is exact, so the ceiling is too.
+// Probabilities at or below 0 (and NaN, which no draw is below) map to 0,
+// and those at or above 1 to 2^53, which every draw is below.
+func Threshold(p float64) uint64 {
+	const scale = 1 << 53
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return scale
+	}
+	return uint64(math.Ceil(p * scale))
+}
 
 // Mix64 hashes x through splitmix64's finalizer. It is used for stateless
 // deterministic decisions (e.g. assigning a per-set demand depth from the

@@ -54,6 +54,9 @@ const (
 	// enough to amortize the lock, small enough that the first consumer of
 	// a fresh recording is not held up synthesizing a huge prefix.
 	extendBatch = 4096
+	// recordBatch is how many instructions extend pulls from the source
+	// per NextBatch call (the core model's decode-ahead depth).
+	recordBatch = 256
 )
 
 // chunk is one fixed-capacity span of the encoded stream. buf has full
@@ -86,7 +89,7 @@ func newChunk() *chunk {
 // NewRecording, then serve consumers with Replay cursors.
 type Recording struct {
 	mu   sync.Mutex
-	src  isa.Stream // consumed under mu
+	src  isa.BatchStream // consumed under mu
 	name string
 
 	// Encoder state, under mu.
@@ -97,20 +100,26 @@ type Recording struct {
 	encTarget  uint64
 	totalBytes int64
 
-	// in is the extension loop's decode target. It lives on the recording
-	// rather than extend's stack because passing its address through the
-	// isa.Stream interface call makes it escape — one heap allocation per
-	// extend call, tens of thousands per evaluation sweep.
-	in isa.Instr
+	// batch is the extension loop's decode target, allocated by the first
+	// extend. It lives on the recording rather than extend's stack because
+	// passing it through the source's interface call makes it escape — one
+	// heap allocation per extend call, tens of thousands per evaluation
+	// sweep.
+	batch []isa.Instr
 
 	chunks atomic.Pointer[[]*chunk] // grow-only; replaced wholesale on append
 	filled atomic.Int64             // published instruction count
 }
 
 // NewRecording wraps src in a lazily-extended recording. src must not be
-// advanced by anyone else afterwards: the recording owns it.
+// advanced by anyone else afterwards: the recording owns it. src must be
+// an isa.BatchStream (every Generator is); NewRecording panics otherwise.
 func NewRecording(src isa.Stream) *Recording {
-	r := &Recording{src: src, name: src.Name()}
+	bs, ok := src.(isa.BatchStream)
+	if !ok {
+		panic("trace: NewRecording source " + src.Name() + " does not implement isa.BatchStream")
+	}
+	r := &Recording{src: bs, name: src.Name()}
 	r.cur = newChunk()
 	chunks := []*chunk{r.cur}
 	r.chunks.Store(&chunks)
@@ -185,16 +194,26 @@ func (r *Recording) Replay() *Replay {
 	return &Replay{rec: r, chunks: chunks, buf: chunks[0].buf}
 }
 
-// extend appends one batch of instructions from the source stream.
+// extend appends extendBatch instructions from the source stream, pulled
+// recordBatch at a time.
 func (r *Recording) extend() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cur == nil {
 		panic("trace: Recording extended after Recycle")
 	}
-	for i := 0; i < extendBatch; i++ {
-		r.src.Next(&r.in)
-		r.encode(&r.in)
+	if r.batch == nil {
+		r.batch = make([]isa.Instr, recordBatch)
+	}
+	for left := extendBatch; left > 0; {
+		dst := r.batch[:min(left, recordBatch)]
+		if r.src.NextBatch(dst) != len(dst) {
+			panic("trace: Recording source ran dry")
+		}
+		for i := range dst {
+			r.encode(&dst[i])
+		}
+		left -= len(dst)
 	}
 	r.cur.used.Store(int64(r.curPos))
 	r.filled.Add(extendBatch)

@@ -24,6 +24,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"snug/internal/addr"
 	"snug/internal/isa"
@@ -169,14 +170,16 @@ func (p Profile) MeanDemandWays() float64 {
 	return sum
 }
 
-// branchSite is one static branch with its outcome bias.
+// branchSite is one static branch with its outcome bias, held as the
+// stats.Threshold of its taken probability.
 type branchSite struct {
-	pc   uint64
-	bias float64
+	pc    uint64
+	taken uint64
 }
 
 // Generator produces the dynamic stream for one benchmark instance. It
-// implements isa.Stream deterministically for a fixed seed.
+// implements isa.BatchStream deterministically for a fixed seed: NextBatch
+// and Next serve the same stream, in any interleaving.
 //
 // Two separate seeds are in play: the per-instance stream seed randomizes
 // access interleaving, and a benchmark-derived demand seed fixes the
@@ -207,19 +210,27 @@ type Generator struct {
 
 	freshCtr []uint32
 
-	queue []isa.Instr
-	head  int
+	// queue holds the current multi-instruction unit as planned; pending
+	// is its unserved tail.
+	queue   []isa.Instr
+	pending []isa.Instr
 
 	branches []branchSite
 	pcTick   uint64
 
 	// Cached per-instruction decision thresholds (plan/filler run once per
 	// emitted instruction — the simulator's hottest path — so the divisions
-	// behind them are hoisted out of it). Cumulative: a single uniform draw
-	// is compared against each in order.
-	cumMem, cumBr, cumCall float64 // unit-type thresholds (touch/branch/call)
-	cumDiv, cumMult, cumFP float64 // filler-kind thresholds
-	burstCont              float64 // same-block burst continuation probability
+	// behind them are hoisted out of it). Each is the stats.Threshold of a
+	// probability: a 53-bit draw compared against it decides exactly as the
+	// draw's Float64 compared against the probability, without the float
+	// conversion. The unit-type and filler-kind thresholds are cumulative:
+	// one draw is compared against each in order.
+	thMem, thBr, thCall uint64 // unit type (touch/branch/call)
+	thDiv, thMult, thFP uint64 // filler kind
+	thBurst             uint64 // same-block burst continuation
+	thDep, thDepLoad    uint64 // filler / load dependence on the previous op
+	thStore             uint64 // a touch's first access is a store
+	thCompulsory        uint64 // current phase's never-seen-block rate
 
 	touches int64 // distinct-block touches emitted (for tests/metrics)
 }
@@ -260,16 +271,20 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 			g.phaseLen[i] = 1
 		}
 	}
-	g.cumMem = 1 / float64(prof.L2Every)
-	g.cumBr = g.cumMem + 1/float64(prof.BranchEvery)
-	g.cumCall = g.cumBr
+	cumMem := 1 / float64(prof.L2Every)
+	cumBr := cumMem + 1/float64(prof.BranchEvery)
+	cumCall := cumBr
 	if prof.CallEvery > 0 {
-		g.cumCall += 1 / float64(prof.CallEvery)
+		cumCall += 1 / float64(prof.CallEvery)
 	}
-	g.cumDiv = prof.DivFrac
-	g.cumMult = g.cumDiv + prof.MultFrac
-	g.cumFP = g.cumMult + prof.FPFrac
-	g.burstCont = prof.Burst / (1 + prof.Burst)
+	g.thMem, g.thBr, g.thCall = stats.Threshold(cumMem), stats.Threshold(cumBr), stats.Threshold(cumCall)
+	g.thDiv = stats.Threshold(prof.DivFrac)
+	g.thMult = stats.Threshold(prof.DivFrac + prof.MultFrac)
+	g.thFP = stats.Threshold(prof.DivFrac + prof.MultFrac + prof.FPFrac)
+	g.thBurst = stats.Threshold(prof.Burst / (1 + prof.Burst))
+	g.thDep = stats.Threshold(prof.DepFrac)
+	g.thDepLoad = stats.Threshold(prof.DepLoadFrac)
+	g.thStore = stats.Threshold(prof.StoreFrac)
 	nb := 64
 	g.branches = make([]branchSite, nb)
 	for i := range g.branches {
@@ -277,7 +292,7 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 		if float64(i) < prof.HardBranchFrac*float64(nb) {
 			bias = 0.5
 		}
-		g.branches[i] = branchSite{pc: seed<<8 ^ uint64(0x4000+i*16), bias: bias}
+		g.branches[i] = branchSite{pc: seed<<8 ^ uint64(0x4000+i*16), taken: stats.Threshold(bias)}
 	}
 	g.enterPhase(0)
 	return g, nil
@@ -336,6 +351,7 @@ func (g *Generator) enterPhase(idx int) {
 	g.refsInPhase = 0
 	base := nameSeed(g.prof.Name)
 	ph := &g.prof.Phases[idx]
+	g.thCompulsory = stats.Threshold(ph.Compulsory)
 	w := 0.0
 	for s := range g.depths {
 		seed := g.demandSeed
@@ -402,41 +418,66 @@ func (g *Generator) pickSet() uint32 {
 	return uint32(lo)
 }
 
-// Next implements isa.Stream. It plans the next unit in place: a data-touch
-// burst, a branch, a call/return pair, or filler compute. Filler — the vast
-// majority of the stream — is written straight into in, skipping the queue
-// round trip; multi-instruction units go through the queue. The RNG draw
-// order is identical either way, so streams are unchanged by the fast path.
+// Next implements isa.Stream as a one-instruction NextBatch.
 func (g *Generator) Next(in *isa.Instr) {
-	if g.head < len(g.queue) {
-		*in = g.queue[g.head]
-		g.head++
-		return
+	g.NextBatch(unsafe.Slice(in, 1))
+}
+
+// NextBatch implements isa.BatchStream. Each step either serves the next
+// queued instruction or plans the next unit: a data-touch burst, a branch,
+// a call/return pair, or filler compute. Filler — the vast majority of the
+// stream — is written straight into dst, skipping the queue round trip;
+// planned units are copied out of the queue a run at a time. A unit cut
+// off at the end of dst stays queued for the next call, so batches may
+// split units anywhere and interleave with Next freely.
+//
+//snug:hotpath
+func (g *Generator) NextBatch(dst []isa.Instr) int {
+	rest := dst
+	for len(rest) > 0 {
+		if p := g.pending; len(p) > 0 {
+			k := copy(rest, p)
+			g.pending = p[k:]
+			rest = rest[k:]
+			continue
+		}
+		if x := g.rng.Uint53(); x >= g.thCall {
+			g.filler(&rest[0])
+			rest = rest[1:]
+		} else {
+			g.plan(x)
+		}
 	}
+	return len(dst)
+}
+
+// plan replaces the drained queue with the multi-instruction unit the
+// unit-type draw x (below thCall) selects.
+func (g *Generator) plan(x uint64) {
 	g.queue = g.queue[:0]
-	g.head = 0
-	r := g.rng.Float64()
 	switch {
-	case r < g.cumMem:
+	case x < g.thMem:
 		g.planTouch()
-	case r < g.cumBr:
+	case x < g.thBr:
 		g.planBranch()
-	case r < g.cumCall:
-		g.planCall()
 	default:
-		*in = g.filler()
-		return
+		g.planCall()
 	}
-	*in = g.queue[0]
-	g.head = 1
+	g.pending = g.queue
+}
+
+// push appends a zeroed queue slot and returns it for filling in place. The
+// pointer is valid until the next push.
+func (g *Generator) push() *isa.Instr {
+	g.queue = append(g.queue, isa.Instr{})
+	return &g.queue[len(g.queue)-1]
 }
 
 // planTouch emits one distinct-block access followed by its L1-hit burst.
 func (g *Generator) planTouch() {
-	ph := &g.prof.Phases[g.phaseIdx]
 	s := g.pickSet()
 	var tag uint64
-	if g.rng.Bool(ph.Compulsory) {
+	if g.rng.Below(g.thCompulsory) {
 		g.freshCtr[s]++
 		tag = freshTagBase + uint64(g.freshCtr[s])
 	} else {
@@ -448,13 +489,13 @@ func (g *Generator) planTouch() {
 	// every burst repeat would leave essentially every resident block dirty
 	// (P ≈ 1-(1-storeFrac)^burst), which would starve cooperative caching —
 	// only clean victims may spill (§3.3).
-	g.emitAccess(a, g.rng.Bool(g.prof.StoreFrac))
+	g.emitAccess(a, g.rng.Below(g.thStore))
 
 	// Same-block repeats: captured by L1, sustaining a realistic L1 hit
 	// rate without disturbing the L2-level reuse structure.
 	n := 0
-	for n < maxBurst && g.rng.Bool(g.burstCont) {
-		g.queue = append(g.queue, g.filler())
+	for n < maxBurst && g.rng.Below(g.thBurst) {
+		g.filler(g.push())
 		g.emitAccess(a, false)
 		n++
 	}
@@ -499,56 +540,54 @@ func (g *Generator) touchPool(s uint32) int {
 // emitAccess appends one load/store of address a.
 func (g *Generator) emitAccess(a addr.Addr, store bool) {
 	g.pcTick += 4
-	in := isa.Instr{PC: g.pcTick, Addr: a}
+	in := g.push()
+	in.PC = g.pcTick
+	in.Addr = a
 	if store {
 		in.Kind = isa.KindStore
 	} else {
 		in.Kind = isa.KindLoad
-		in.DepPrev = g.rng.Bool(g.prof.DepLoadFrac)
+		in.DepPrev = g.rng.Below(g.thDepLoad)
 	}
-	g.queue = append(g.queue, in)
 }
 
 // planBranch emits one conditional branch from the benchmark's site pool.
 func (g *Generator) planBranch() {
 	site := &g.branches[g.rng.Intn(len(g.branches))]
-	g.queue = append(g.queue, isa.Instr{
-		Kind:  isa.KindBranch,
-		PC:    site.pc,
-		Taken: g.rng.Bool(site.bias),
-	})
+	taken := g.rng.Below(site.taken)
+	*g.push() = isa.Instr{Kind: isa.KindBranch, PC: site.pc, Taken: taken}
 }
 
 // planCall emits a call / body / return triple exercising the RAS.
 func (g *Generator) planCall() {
 	g.pcTick += 4
 	callPC := g.pcTick
-	g.queue = append(g.queue,
-		isa.Instr{Kind: isa.KindCall, PC: callPC},
-		g.filler(),
-		g.filler(),
-		isa.Instr{Kind: isa.KindReturn, PC: callPC + 0x100, Target: callPC + 4},
-	)
+	*g.push() = isa.Instr{Kind: isa.KindCall, PC: callPC}
+	g.filler(g.push())
+	g.filler(g.push())
+	*g.push() = isa.Instr{Kind: isa.KindReturn, PC: callPC + 0x100, Target: callPC + 4}
 }
 
 // nameSeed hashes a benchmark name into the demand seed shared by all
 // instances of that benchmark.
 func nameSeed(name string) uint64 { return stats.HashString(name) }
 
-// filler returns one compute instruction per the profile's mix.
-func (g *Generator) filler() isa.Instr {
+// filler writes one compute instruction per the profile's mix into in,
+// overwriting every field.
+//
+//snug:hotpath
+func (g *Generator) filler(in *isa.Instr) {
 	g.pcTick += 4
-	in := isa.Instr{PC: g.pcTick, DepPrev: g.rng.Bool(g.prof.DepFrac)}
-	r := g.rng.Float64()
+	dep := g.rng.Below(g.thDep)
+	x := g.rng.Uint53()
+	kind := isa.KindALU
 	switch {
-	case r < g.cumDiv:
-		in.Kind = isa.KindDiv
-	case r < g.cumMult:
-		in.Kind = isa.KindMult
-	case r < g.cumFP:
-		in.Kind = isa.KindFPU
-	default:
-		in.Kind = isa.KindALU
+	case x < g.thDiv:
+		kind = isa.KindDiv
+	case x < g.thMult:
+		kind = isa.KindMult
+	case x < g.thFP:
+		kind = isa.KindFPU
 	}
-	return in
+	*in = isa.Instr{Kind: kind, PC: g.pcTick, DepPrev: dep}
 }
