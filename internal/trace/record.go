@@ -12,19 +12,35 @@
 // amortized across every scheme that replays it.
 //
 // A Recording wraps a live source stream and memoizes its output into
-// fixed-size chunks of a byte-oriented struct-of-arrays encoding:
+// fixed-size chunks of a byte-oriented encoding:
 //
-//	meta byte   kind (4 bits) | DepPrev | Taken
-//	pc          zig-zag varint delta against the previous instruction's PC
+//	meta byte   kind (4 bits) | DepPrev | Taken | PC mode (2 bits)
+//	pc          zig-zag varint delta (delta and far PC modes only)
 //	addr        zig-zag varint delta (loads/stores only)
 //	target      zig-zag varint delta (returns only)
 //
-// Sequential PCs advance by 4, so the common case costs two bytes per
-// instruction (~10x smaller than raw isa.Instr values). Recording is lazy:
-// a Replay cursor that runs past the recorded prefix extends the recording
-// from the live source, so no a-priori bound on the consumed stream length
-// is needed — schemes with different IPCs naturally consume different
-// prefixes of one shared recording.
+// The PC mode names the base an instruction's PC is coded against:
+//
+//	sequential    previous PC + 4; no varint
+//	fall-through  flow PC + 4; no varint
+//	delta         varint delta against the previous PC (a near jump)
+//	far           varint delta against the far base, the last far-jump
+//	              target, which then moves to this PC
+//
+// The flow PC is the last PC reached sequentially or by fall-through, so
+// after a jump it still holds the PC the jump left from, and the return to
+// straight-line code after a branch or a call costs the meta byte alone.
+// A jump whose delta from the previous PC does not fit a two-byte varint
+// is far: the generators' branch sites sit in their own region of the
+// address space, so consecutive branch sites code as short deltas from
+// each other rather than as a long jump out of the sequential PCs and a
+// long jump back. Together the four modes leave most instructions at one
+// byte, and loads and stores at one meta byte plus an address delta.
+//
+// Recording is lazy: a Replay cursor that runs past the recorded prefix
+// extends the recording from the live source, so no a-priori bound on the
+// consumed stream length is needed — schemes with different IPCs
+// naturally consume different prefixes of one shared recording.
 //
 // Concurrency: Replay cursors from different goroutines may share one
 // Recording (the sweep runs a combination's schemes in parallel).
@@ -39,6 +55,7 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"snug/internal/addr"
 	"snug/internal/isa"
@@ -47,9 +64,10 @@ import (
 const (
 	// chunkBytes is the fixed chunk-buffer size.
 	chunkBytes = 1 << 16
-	// maxInstrBytes bounds one encoded instruction (meta + three worst-case
-	// 10-byte varints); a chunk with less remaining space is closed.
-	maxInstrBytes = 31
+	// maxInstrBytes bounds one encoded instruction (meta + two worst-case
+	// 10-byte varints: a PC delta, then an address or a target delta); a
+	// chunk with less remaining space is closed.
+	maxInstrBytes = 21
 	// extendBatch is how many instructions one extension appends. Large
 	// enough to amortize the lock, small enough that the first consumer of
 	// a fresh recording is not held up synthesizing a huge prefix.
@@ -92,13 +110,13 @@ type Recording struct {
 	src  isa.BatchStream // consumed under mu
 	name string
 
-	// Encoder state, under mu.
-	cur        *chunk
-	curPos     int
-	encPC      uint64
-	encAddr    uint64
-	encTarget  uint64
-	totalBytes int64
+	// Encoder state, under mu: the current chunk and write position, the
+	// bytes in closed chunks, and the delta bases (see the package
+	// comment).
+	cur    *chunk
+	pos    int
+	closed int64
+	enc    bases
 
 	// batch is the extension loop's decode target, allocated by the first
 	// extend. It lives on the recording rather than extend's stack because
@@ -179,7 +197,7 @@ func (r *Recording) Len() int64 { return r.filled.Load() }
 func (r *Recording) Bytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.totalBytes
+	return r.closed + int64(r.pos)
 }
 
 // Replay returns a new cursor positioned at the start of the stream. Each
@@ -195,7 +213,7 @@ func (r *Recording) Replay() *Replay {
 }
 
 // extend appends extendBatch instructions from the source stream, pulled
-// recordBatch at a time.
+// and encoded recordBatch at a time.
 func (r *Recording) extend() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,70 +228,109 @@ func (r *Recording) extend() {
 		if r.src.NextBatch(dst) != len(dst) {
 			panic("trace: Recording source ran dry")
 		}
-		for i := range dst {
-			r.encode(&dst[i])
-		}
+		r.encodeBatch(dst)
 		left -= len(dst)
 	}
-	r.cur.used.Store(int64(r.curPos))
+	r.cur.used.Store(int64(r.pos))
 	r.filled.Add(extendBatch)
 }
 
-// encode appends one instruction to the current chunk, closing it and
-// opening a new one when it cannot hold a worst-case instruction.
-func (r *Recording) encode(in *isa.Instr) {
-	if r.curPos > chunkBytes-maxInstrBytes {
-		r.cur.used.Store(int64(r.curPos))
-		r.cur = newChunk()
-		r.curPos = 0
-		old := *r.chunks.Load()
-		chunks := make([]*chunk, len(old)+1)
-		copy(chunks, old)
-		chunks[len(old)] = r.cur
-		r.chunks.Store(&chunks)
+// encodeBatch appends src to the current chunk, closing it and opening a
+// new one whenever it cannot hold a worst-case instruction. The write
+// position and delta bases live in locals for the whole batch and are
+// written back once; the flag bits of the meta byte are OR-ed in without
+// a branch, since Taken is a coin flip at hard branch sites.
+func (r *Recording) encodeBatch(src []isa.Instr) {
+	buf, pos := r.cur.buf, r.pos
+	pc, a, tgt, flow, far := r.enc.pc, r.enc.addr, r.enc.target, r.enc.flow, r.enc.far
+	for i := range src {
+		in := &src[i]
+		if pos > chunkBytes-maxInstrBytes {
+			buf, pos = r.closeChunk(pos), 0
+		}
+		meta := byte(in.Kind) | flag(in.DepPrev)*metaDepPrev | flag(in.Taken)*metaTaken
+		x := in.PC
+		switch {
+		case x == pc+4:
+			buf[pos] = meta | pcSeq
+			pos++
+			flow = x
+		case x == flow+4:
+			buf[pos] = meta | pcFall
+			pos++
+			flow = x
+		default:
+			d, mode := zig(x-pc), byte(pcDelta)
+			if d >= farJump {
+				d, mode, far = zig(x-far), pcFar, x
+			}
+			buf[pos] = meta | mode
+			pos = putUvarint(buf, pos+1, d)
+		}
+		pc = x
+		switch in.Kind {
+		case isa.KindLoad, isa.KindStore:
+			v := uint64(in.Addr)
+			pos = putUvarint(buf, pos, zig(v-a))
+			a = v
+		case isa.KindReturn:
+			pos = putUvarint(buf, pos, zig(in.Target-tgt))
+			tgt = in.Target
+		}
 	}
-	buf := r.cur.buf
-	pos := r.curPos
-	meta := byte(in.Kind)
-	if in.DepPrev {
-		meta |= metaDepPrev
-	}
-	if in.Taken {
-		meta |= metaTaken
-	}
-	if in.PC == r.encPC+4 {
-		// Straight-line fetch — the overwhelmingly common case: fold the
-		// +4 PC advance into the meta byte and skip the varint entirely.
-		buf[pos] = meta | metaSeqPC
-		pos++
-	} else {
-		buf[pos] = meta
-		pos++
-		pos = putUvarint(buf, pos, zig(in.PC-r.encPC))
-	}
-	r.encPC = in.PC
-	switch in.Kind {
-	case isa.KindLoad, isa.KindStore:
-		a := uint64(in.Addr)
-		pos = putUvarint(buf, pos, zig(a-r.encAddr))
-		r.encAddr = a
-	case isa.KindReturn:
-		pos = putUvarint(buf, pos, zig(in.Target-r.encTarget))
-		r.encTarget = in.Target
-	}
-	r.totalBytes += int64(pos - r.curPos)
-	r.curPos = pos
+	r.pos = pos
+	r.enc = bases{pc: pc, addr: a, target: tgt, flow: flow, far: far}
 }
 
-// meta-byte layout: low 4 bits hold the kind, then one bit per flag.
-// metaSeqPC marks a straight-line PC (previous + 4) carried by the meta
-// byte itself, with no PC varint following.
+// closeChunk publishes the current chunk's final byte count, appends a
+// fresh chunk and returns its buffer.
+func (r *Recording) closeChunk(pos int) []byte {
+	r.cur.used.Store(int64(pos))
+	r.closed += int64(pos)
+	r.cur = newChunk()
+	old := *r.chunks.Load()
+	chunks := make([]*chunk, len(old)+1)
+	copy(chunks, old)
+	chunks[len(old)] = r.cur
+	r.chunks.Store(&chunks)
+	return r.cur.buf
+}
+
+// bases is one side of the codec's delta state: the encoder's after the
+// last recorded instruction, or a cursor's after the last decoded one.
+type bases struct {
+	pc     uint64 // previous PC
+	addr   uint64 // previous load/store address
+	target uint64 // previous return target
+	flow   uint64 // last PC reached sequentially or by fall-through
+	far    uint64 // last far-jump target
+}
+
+// meta-byte layout: the kind in the low 4 bits, one bit per flag, then
+// the two-bit PC mode in the top bits.
 const (
 	metaKindMask = 0x0f
 	metaDepPrev  = 1 << 4
 	metaTaken    = 1 << 5
-	metaSeqPC    = 1 << 6
+	metaPCMode   = 3 << 6
+	pcDelta      = 0 << 6 // varint delta against the previous PC
+	pcSeq        = 1 << 6 // previous PC + 4
+	pcFall       = 2 << 6 // flow PC + 4
+	pcFar        = 3 << 6 // varint delta against the far base
 )
+
+// farJump is the smallest zig-zag PC delta coded against the far base:
+// every delta the previous PC cannot carry in a two-byte varint.
+const farJump = 1 << 14
+
+// flag converts a bool to 0 or 1; the compiler lowers it to a plain
+// zero-extension, with no branch.
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // Replay is a sequential cursor over a Recording, implementing isa.Stream.
 // Next is allocation-free; when the cursor catches up with the recorded
@@ -289,9 +346,7 @@ type Replay struct {
 	pos   int64 // instructions decoded
 	limit int64 // cached published instruction count
 
-	prevPC     uint64
-	prevAddr   uint64
-	prevTarget uint64
+	dec bases
 }
 
 // Name implements isa.Stream.
@@ -300,64 +355,15 @@ func (p *Replay) Name() string { return p.rec.name }
 // Pos returns the number of instructions served so far.
 func (p *Replay) Pos() int64 { return p.pos }
 
-// Next implements isa.Stream, decoding the next recorded instruction.
-//
-//snug:hotpath
-//snug:inline
-//snug:allow gcinline the decode loop costs ~480 against the 80 budget; per-call overhead is amortized by NextBatch on the hot engines
+// Next implements isa.Stream as a one-instruction NextBatch.
 func (p *Replay) Next(in *isa.Instr) {
-	if p.pos >= p.limit {
-		p.moreInstructions()
-	}
-	if p.off >= p.used {
-		p.moreBytes()
-	}
-	buf := p.buf
-	off := p.off
-	meta := buf[off]
-	off++
-	var pc uint64
-	if meta&metaSeqPC != 0 {
-		pc = p.prevPC + 4
-	} else {
-		var d uint64
-		if b := buf[off]; b < 0x80 { // inline uvarint fast path
-			d, off = uint64(b), off+1
-		} else {
-			d, off = uvarint(buf, off)
-		}
-		pc = p.prevPC + zag(d)
-	}
-	p.prevPC = pc
-	kind := isa.Kind(meta & metaKindMask)
-	in.Kind = kind
-	in.PC = pc
-	in.DepPrev = meta&metaDepPrev != 0
-	in.Taken = meta&metaTaken != 0
-	in.Addr = 0
-	in.Target = 0
-	switch kind {
-	case isa.KindLoad, isa.KindStore:
-		d, o := uvarint(buf, off)
-		off = o
-		a := p.prevAddr + zag(d)
-		p.prevAddr = a
-		in.Addr = addr.Addr(a)
-	case isa.KindReturn:
-		d, o := uvarint(buf, off)
-		off = o
-		t := p.prevTarget + zag(d)
-		p.prevTarget = t
-		in.Target = t
-	}
-	p.off = off
-	p.pos++
+	p.NextBatch(unsafe.Slice(in, 1))
 }
 
 // NextBatch implements isa.BatchStream: the cursor and delta-decoder state
 // live in locals across the batch and the published-window checks run once
 // per window instead of once per instruction, so batched replay decodes at
-// memory-scan speed. Behaviour is identical to len(dst) Next calls.
+// memory-scan speed.
 //
 //snug:hotpath
 func (p *Replay) NextBatch(dst []isa.Instr) int {
@@ -375,14 +381,18 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 		buf := p.buf
 		off := p.off
 		used := p.used
-		pc, a, tgt := p.prevPC, p.prevAddr, p.prevTarget
+		pc, a, tgt, flow, far := p.dec.pc, p.dec.addr, p.dec.target, p.dec.flow, p.dec.far
 		decoded := int64(0)
 		for off < used && n < len(dst) {
 			in := &dst[n]
 			meta := buf[off]
 			off++
-			if meta&metaSeqPC != 0 {
+			if mode := meta & metaPCMode; mode == pcSeq {
 				pc += 4
+				flow = pc
+			} else if mode == pcFall {
+				pc = flow + 4
+				flow = pc
 			} else {
 				var d uint64
 				if b := buf[off]; b < 0x80 { // inline uvarint fast path
@@ -390,7 +400,12 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 				} else {
 					d, off = uvarint(buf, off)
 				}
-				pc += zag(d)
+				if mode == pcDelta {
+					pc += zag(d)
+				} else {
+					far += zag(d)
+					pc = far
+				}
 			}
 			kind := isa.Kind(meta & metaKindMask)
 			in.Kind = kind
@@ -419,7 +434,7 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 			decoded++
 		}
 		p.off = off
-		p.prevPC, p.prevAddr, p.prevTarget = pc, a, tgt
+		p.dec = bases{pc: pc, addr: a, target: tgt, flow: flow, far: far}
 		p.pos += decoded
 	}
 	return n

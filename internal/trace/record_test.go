@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"snug/internal/addr"
+	"snug/internal/config"
 	"snug/internal/isa"
+	"snug/internal/stats"
 )
 
 // recGeom mirrors the test-scale L2 slice geometry.
@@ -184,6 +186,39 @@ func TestRecordingCompact(t *testing.T) {
 	t.Logf("%d instructions in %d bytes (%.2f B/instr)", n, bytes, perInstr)
 }
 
+// maxSweepBytesPerInstr bounds the encoded size of every profile's stream
+// at a sweep-derived seed.
+const maxSweepBytesPerInstr = 1.7
+
+// TestRecordingCompactAtSweepSeeds pins the encoded size of every profile
+// as a sweep records it. A small seed puts the branch sites (seed<<8 ^
+// site offset) right beside the sequential PCs, which flatters the PC
+// coding; a sweep job's seed is a full 64-bit hash, which puts them far
+// away. Each profile runs as the four cores of its "4x<name>" stress
+// combo, seeded per core as cmp.WorkloadStreams seeds them from the
+// combo's sweep.JobSeed.
+func TestRecordingCompactAtSweepSeeds(t *testing.T) {
+	const perCore = 100_000
+	for _, name := range Names() {
+		jobSeed := stats.Mix64(config.Default().Seed ^ stats.HashString("4x"+name)) // sweep.JobSeed
+		var n, bytes int64
+		for core := uint64(0); core < 4; core++ {
+			g := MustGenerator(MustByName(name), recGeom, jobSeed+core*0x1000_0001, 50_000)
+			g.WithDemandSalt(core + 1)
+			rec := NewRecording(g)
+			rec.Record(perCore)
+			n += rec.Len()
+			bytes += rec.Bytes()
+			rec.Recycle()
+		}
+		perInstr := float64(bytes) / float64(n)
+		if perInstr > maxSweepBytesPerInstr {
+			t.Errorf("%s: encoding uses %.2f bytes/instruction at a sweep seed, want <= %.1f", name, perInstr, maxSweepBytesPerInstr)
+		}
+		t.Logf("%-6s %.3f B/instr", name, perInstr)
+	}
+}
+
 // TestRecordingLazy checks extension happens on demand, not eagerly.
 func TestRecordingLazy(t *testing.T) {
 	rec := NewRecording(newTestGen(t, "gzip", 11))
@@ -220,6 +255,22 @@ func BenchmarkReplayNext(b *testing.B) {
 		}
 		rp.Next(&in)
 	}
+}
+
+// BenchmarkRecord measures recording — generation plus encoding — per
+// instruction of a stream at a sweep-derived seed, and reports the
+// encoded size.
+func BenchmarkRecord(b *testing.B) {
+	seed := stats.Mix64(config.Default().Seed ^ stats.HashString("4xvortex"))
+	var n, bytes int64
+	for n < int64(b.N) {
+		rec := NewRecording(MustGenerator(MustByName("vortex"), recGeom, seed, 50_000))
+		rec.Record(min(int64(b.N)-n, 1<<20)) // recycle every ~1M instructions
+		n += rec.Len()
+		bytes += rec.Bytes()
+		rec.Recycle()
+	}
+	b.ReportMetric(float64(bytes)/float64(n), "B/instr")
 }
 
 // TestRecycleReusesChunksAndPoisons pins the Recycle contract: recycled
