@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -129,156 +130,43 @@ func TestCheckRefusesEmptyComparison(t *testing.T) {
 	}
 }
 
-// TestCheckShapeMismatchSkipsParallel: under a GOMAXPROCS mismatch a
-// shape-sensitive benchmark must not be gated — even against a baseline it
-// could never beat — and with nothing else selected the empty-comparison
-// guard turns the check into a refusal rather than a silent pass.
-func TestCheckShapeMismatchSkipsParallel(t *testing.T) {
+// TestCheckIgnoresLegacyShapeSections: a baseline that still carries a
+// "benchmarks@gomaxprocs=<n>" section for the host's GOMAXPROCS (as
+// BENCH_PR9.json does for 4) must load, and -check must compare every
+// selected benchmark against the primary "benchmarks" section rather than
+// skip the ones the legacy section lacks.
+func TestCheckIgnoresLegacyShapeSections(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a real benchmark; skipped in -short")
+		t.Skip("runs real benchmarks; skipped in -short")
 	}
-	path := filepath.Join(t.TempDir(), "shape.json")
-	base := Baseline{
-		GOMAXPROCS: runtime.GOMAXPROCS(0) + 1,
-		Benchmarks: map[string]Result{
-			"SNUG16CoreParallel": {Iterations: 1, NsPerOp: 1, Metrics: map[string]float64{"sim-cycles/s": 1e15}},
-		},
-	}
-	raw, err := json.Marshal(base)
-	if err != nil {
+	host := runtime.GOMAXPROCS(0)
+	path := filepath.Join(t.TempDir(), "legacy.json")
+	raw := fmt.Sprintf(`{
+  "benchmarks": {
+    "BusContention": {"iterations": 1, "ns_per_op": 1, "metrics": {"ops/s": 1}},
+    "CacheOps": {"iterations": 1, "ns_per_op": 1, "metrics": {"ops/s": 1}}
+  },
+  "benchmarks@gomaxprocs=%d": {
+    "SNUG16Core": {"iterations": 1, "ns_per_op": 1, "metrics": {"sim-cycles/s": 1}}
+  },
+  "go_version": "go0.0",
+  "goarch": "amd64",
+  "gomaxprocs": %d
+}`, host, host+1)
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	var out bytes.Buffer
+	if err := run([]string{"-check", path, "-bench", "CacheOps,BusContention"}, &out, io.Discard); err != nil {
+		t.Fatalf("check failed: %v\n%s", err, out.String())
 	}
-	var out, errOut bytes.Buffer
-	err = run([]string{"-check", path, "-bench", "SNUG16CoreParallel"}, &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), "checked nothing") {
-		t.Fatalf("err = %v, want the empty-comparison refusal", err)
-	}
-	if !strings.Contains(errOut.String(), "WARNING") {
-		t.Errorf("stderr missing the GOMAXPROCS warning:\n%s", errOut.String())
-	}
-	if !strings.Contains(out.String(), "NOT gated") {
-		t.Errorf("stdout does not say the benchmark was skipped:\n%s", out.String())
-	}
-}
-
-// TestCheckStrictShapeRefuses: -strict-shape turns a GOMAXPROCS mismatch
-// into an immediate error, before any benchmark time is spent.
-func TestCheckStrictShapeRefuses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "strict.json")
-	base := Baseline{
-		GOMAXPROCS: runtime.GOMAXPROCS(0) + 1,
-		Benchmarks: map[string]Result{
-			"SimulatorSpeed": {Iterations: 1, NsPerOp: 1, Metrics: map[string]float64{"sim-cycles/s": 1}},
-		},
-	}
-	raw, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-check", path, "-strict-shape"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
-		t.Fatalf("err = %v, want a GOMAXPROCS mismatch refusal", err)
-	}
-}
-
-// TestBaselineSectionRoundTrip pins the sectioned file schema: extra
-// shapes marshal as "benchmarks@gomaxprocs=<n>" siblings of the primary
-// section, survive a JSON round trip, and setSection merges rather than
-// replaces.
-func TestBaselineSectionRoundTrip(t *testing.T) {
-	b := Baseline{
-		GoVersion:  "go0.0",
-		GOARCH:     "amd64",
-		GOMAXPROCS: 1,
-		Benchmarks: map[string]Result{"SimulatorSpeed": {Iterations: 1, NsPerOp: 2}},
-		Shapes: map[int]map[string]Result{
-			4: {"SNUG16CoreParallel": {Iterations: 3, NsPerOp: 4}},
-		},
-	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"benchmarks@gomaxprocs=4"`) {
-		t.Fatalf("marshal lacks the section key: %s", raw)
-	}
-	var back Baseline
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if sec, ok := back.section(4); !ok || sec["SNUG16CoreParallel"].Iterations != 3 {
-		t.Fatalf("section(4) = %v, %v", sec, ok)
-	}
-	if sec, ok := back.section(1); !ok || sec["SimulatorSpeed"].NsPerOp != 2 {
-		t.Fatalf("section(1) = %v, %v", sec, ok)
-	}
-	if _, ok := back.section(2); ok {
-		t.Fatal("section(2) exists for an unrecorded shape")
-	}
-
-	back.setSection(4, map[string]Result{"SNUG16Core": {Iterations: 9}})
-	sec, _ := back.section(4)
-	if sec["SNUG16Core"].Iterations != 9 || sec["SNUG16CoreParallel"].Iterations != 3 {
-		t.Fatalf("setSection did not merge: %v", sec)
-	}
-
-	if err := json.Unmarshal([]byte(`{"benchmarks@gomaxprocs=zero":{}}`), &back); err == nil {
-		t.Fatal("malformed section key unmarshaled successfully")
-	}
-}
-
-// TestParsePairs covers the -require-faster grammar.
-func TestParsePairs(t *testing.T) {
-	got, err := parsePairs("SNUG16CoreParallel:SNUG16Core,CacheOps:BusContention")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []pair{
-		{fast: "SNUG16CoreParallel", slow: "SNUG16Core"},
-		{fast: "CacheOps", slow: "BusContention"},
-	}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("parsePairs = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"OnlyOne", "A:", ":B", "NoSuchBench:SNUG16Core", "SNUG16Core:NoSuchBench"} {
-		if _, err := parsePairs(bad); err == nil {
-			t.Errorf("parsePairs(%q) succeeded", bad)
+	for _, name := range []string{"CacheOps", "BusContention"} {
+		if !strings.Contains(out.String(), name+": ") || !strings.Contains(out.String(), "ops/s vs baseline") {
+			t.Errorf("%s was not compared against the primary section:\n%s", name, out.String())
 		}
 	}
-}
-
-// TestCheckPairs drives the require-faster comparison on fabricated
-// results: a slower "fast" side must fail, a tie or win must pass, and a
-// pair sharing no gated metric must refuse rather than silently pass.
-func TestCheckPairs(t *testing.T) {
-	ps := []pair{{fast: "SNUG16CoreParallel", slow: "SNUG16Core"}}
-	mk := func(fast, slow float64) map[string]Result {
-		return map[string]Result{
-			"SNUG16CoreParallel": {Metrics: map[string]float64{"sim-cycles/s": fast}},
-			"SNUG16Core":         {Metrics: map[string]float64{"sim-cycles/s": slow}},
-		}
-	}
-	if err := checkPairs(io.Discard, ps, mk(200, 100)); err != nil {
-		t.Errorf("faster pair failed: %v", err)
-	}
-	if err := checkPairs(io.Discard, ps, mk(100, 100)); err != nil {
-		t.Errorf("tied pair failed: %v", err)
-	}
-	err := checkPairs(io.Discard, ps, mk(99, 100))
-	if err == nil || !strings.Contains(err.Error(), "slower than") {
-		t.Errorf("slower pair: err = %v, want a slower-than failure", err)
-	}
-	err = checkPairs(io.Discard, ps, map[string]Result{
-		"SNUG16CoreParallel": {}, "SNUG16Core": {},
-	})
-	if err == nil || !strings.Contains(err.Error(), "share no gated rate metric") {
-		t.Errorf("metric-free pair: err = %v, want the no-shared-metric refusal", err)
+	if strings.Contains(out.String(), "skipping") {
+		t.Errorf("a benchmark in the primary section was skipped:\n%s", out.String())
 	}
 }
 
@@ -294,10 +182,10 @@ func TestCheckBaselineGatesAllocs(t *testing.T) {
 			"Figure9Throughput": {AllocsPerOp: allocs, Metrics: map[string]float64{"sim-cycles/s": 100}},
 		}
 	}
-	if err := checkBaseline(io.Discard, "base.json", base, measure(500), 0.30, false); err != nil {
+	if err := checkBaseline(io.Discard, "base.json", base, measure(500), 0.30); err != nil {
 		t.Errorf("improved allocs failed the gate: %v", err)
 	}
-	err := checkBaseline(io.Discard, "base.json", base, measure(2000), 0.30, false)
+	err := checkBaseline(io.Discard, "base.json", base, measure(2000), 0.30)
 	if err == nil || !strings.Contains(err.Error(), "allocation regression") {
 		t.Errorf("doubled allocs: err = %v, want an allocation regression", err)
 	}
@@ -308,7 +196,7 @@ func TestCheckBaselineGatesAllocs(t *testing.T) {
 	bloated := map[string]Result{
 		"SimulatorSpeed": {AllocsPerOp: 1 << 40, Metrics: map[string]float64{"sim-cycles/s": 100}},
 	}
-	if err := checkBaseline(io.Discard, "base.json", unmarked, bloated, 0.30, false); err != nil {
+	if err := checkBaseline(io.Discard, "base.json", unmarked, bloated, 0.30); err != nil {
 		t.Errorf("unmarked benchmark's allocs were gated: %v", err)
 	}
 }

@@ -80,3 +80,53 @@ func TestReplayBitExact(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenMatrix pins the serial digest of every scheme family at 4 and 16
+// cores, test scale, over goldenBench repeated once per four cores. It is the
+// wide-system oracle: the only exact check that the five families still
+// compute the same thing beyond the quad-core golden run. The 4-core SNUG
+// entry is the TestGoldenSNUGDigest value. The digests predate the removal
+// of the intra-run epoch engine, so they also pin that the removal changed
+// nothing. The 16-core row is skipped under -short.
+func TestGoldenMatrix(t *testing.T) {
+	want := map[int]map[string]string{
+		4: {
+			"L2P":     "bb86a2a8ee966029",
+			"L2S":     "c161acaa64527c8d",
+			"CC(75%)": "bebfa5e38d97f96e",
+			"DSR":     "de94197dab418acb",
+			"SNUG":    "fb8ac38b40b7bdf7",
+		},
+		16: {
+			"L2P":     "3cf7dd7ebfb20fa5",
+			"L2S":     "96908cbaf941e0fc",
+			"CC(75%)": "9cc2ec42940185cf",
+			"DSR":     "24f976bb10ff55d2",
+			"SNUG":    "7c2c831df59d589c",
+		},
+	}
+	for _, cores := range []int{4, 16} {
+		for _, scheme := range []string{"L2P", "L2S", "CC(75%)", "DSR", "SNUG"} {
+			t.Run(fmt.Sprintf("%s/%d", scheme, cores), func(t *testing.T) {
+				if cores > 4 && testing.Short() {
+					t.Skip("16-core row skipped in -short")
+				}
+				cfg, err := config.TestScaleN(cores)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var benchmarks []string
+				for len(benchmarks) < cores {
+					benchmarks = append(benchmarks, goldenBench...)
+				}
+				res, err := cmp.RunWorkload(cfg, scheme, benchmarks, goldenCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := goldenDigest(res); got != want[cores][scheme] {
+					t.Errorf("%s at %d cores: digest %s, want %s", scheme, cores, got, want[cores][scheme])
+				}
+			})
+		}
+	}
+}

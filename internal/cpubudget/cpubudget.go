@@ -1,142 +1,57 @@
-// Package cpubudget is the process-wide CPU token budget that keeps the
-// two parallelism layers — sweep-level job workers (internal/sweep) and
-// intra-run epoch engines (internal/cmp) — composable instead of
-// multiplicative. Without it, a sweep at GOMAXPROCS workers whose jobs
-// each spawn a per-core epoch engine runs workers × cores goroutines on
-// GOMAXPROCS processors, and the oversubscription tax eats the speedup
-// both layers were built for.
+// Package cpubudget is the process-wide pool of simulation tokens that
+// keeps sweep-level parallelism (internal/sweep) from oversubscribing the
+// host. It holds GOMAXPROCS tokens, read at each acquisition. A sweep
+// worker holds one token for the duration of each job, and Acquire blocks
+// while every token is out, so a Parallelism above GOMAXPROCS degrades to
+// GOMAXPROCS concurrent simulations instead of time-slicing more of them.
+// The pool changes scheduling and wall-clock only, never results or
+// checkpoint bytes.
 //
-// The pool holds Limit tokens (default: GOMAXPROCS at first use). A sweep
-// worker acquires one token for the duration of each job (Acquire blocks,
-// so Parallelism above the budget degrades to the budget instead of
-// oversubscribing); an epoch engine asks for up to one token per simulated
-// core with TryAcquire, takes whatever is free, and falls back to the
-// serial engine when fewer than two are available — results are identical
-// by construction either way (see internal/cmp/epoch.go), so the budget
-// changes scheduling and wall-clock only, never results or checkpoint
-// bytes.
-//
-// The accounting contract: every simulation-bearing goroutine — a sweep
-// worker running a job (the epoch coordinator runs on that same
-// goroutine), or an epoch group worker — holds exactly one token, so the
-// pool's in-use count is the process's concurrent simulation goroutine
-// count and Peak is its high-water mark (the property the sweep budget
-// tests pin).
+// Every running simulation holds exactly one token, so the in-use count is
+// the process's number of concurrent simulations and Peak is its
+// high-water mark.
 package cpubudget
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
 
 var (
-	mu   sync.Mutex
-	cond = sync.NewCond(&mu)
-	// limit 0 means "unset": resolved to runtime.GOMAXPROCS(0) at use, so
-	// the default tracks the environment rather than package-init order.
-	limit int
+	mu    sync.Mutex
+	cond  = sync.NewCond(&mu)
 	inUse int
 	peak  int
 )
 
-// effectiveLimit resolves the configured limit; callers hold mu.
-func effectiveLimit() int {
-	if limit > 0 {
-		return limit
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Limit returns the current token budget (GOMAXPROCS when unset).
-func Limit() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return effectiveLimit()
-}
-
-// SetLimit sets the process-wide budget to n tokens and returns the
-// previous configured value (0 if it was unset). n <= 0 resets to the
-// GOMAXPROCS default. Raising the limit wakes blocked acquirers; lowering
-// it below the in-use count only throttles future acquisitions — tokens
-// already out stay valid until released.
-func SetLimit(n int) int {
-	mu.Lock()
-	defer mu.Unlock()
-	prev := limit
-	if n <= 0 {
-		limit = 0
-	} else {
-		limit = n
-	}
-	cond.Broadcast()
-	return prev
-}
-
-// Acquire blocks until one token is free and takes it. Pair with
-// Release(1).
+// Acquire blocks until a token is free and takes it. Pair with Release.
 func Acquire() {
 	mu.Lock()
 	defer mu.Unlock()
-	for inUse >= effectiveLimit() {
+	for inUse >= runtime.GOMAXPROCS(0) {
 		cond.Wait()
 	}
-	take(1)
-}
-
-// TryAcquire takes up to n tokens without blocking and returns how many it
-// got (possibly zero). Pair with Release of the returned count.
-func TryAcquire(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	free := effectiveLimit() - inUse
-	if free <= 0 {
-		return 0
-	}
-	if n > free {
-		n = free
-	}
-	take(n)
-	return n
-}
-
-// take records n tokens as in use; callers hold mu.
-func take(n int) {
-	inUse += n
+	inUse++
 	if inUse > peak {
 		peak = inUse
 	}
 }
 
-// Release returns n tokens to the pool.
-func Release(n int) {
-	if n <= 0 {
-		return
-	}
+// Release returns a token taken by Acquire.
+func Release() {
 	mu.Lock()
 	defer mu.Unlock()
-	inUse -= n
-	if inUse < 0 {
+	if inUse == 0 {
 		// Releasing more than was acquired is a caller accounting bug that
 		// would silently widen every future budget; fail loudly instead.
-		panic(fmt.Sprintf("cpubudget: released %d tokens with only %d in use", n, inUse+n))
+		panic("cpubudget: Release without a matching Acquire")
 	}
-	cond.Broadcast()
-}
-
-// InUse returns the tokens currently held.
-func InUse() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return inUse
+	inUse--
+	cond.Signal()
 }
 
 // Peak returns the high-water mark of in-use tokens since the last
-// ResetPeak — by the accounting contract, the peak number of concurrent
-// simulation goroutines. Test instrumentation.
+// ResetPeak, that is the peak number of concurrent simulations.
 func Peak() int {
 	mu.Lock()
 	defer mu.Unlock()

@@ -3,106 +3,73 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/cpubudget"
 )
 
-// intraJobs builds n real simulation jobs on an 8-core system driven by the
-// intra-run epoch engine, so a sweep over them exercises both parallelism
-// layers drawing from the shared CPU budget at once.
-func intraJobs(t *testing.T, n int) []Job {
+// budgetJobs builds n real simulation jobs on a 4-core system. When meet is
+// positive, each job first waits (bounded) until meet jobs have started, so
+// a sweep with room for meet concurrent jobs is sure to reach that many.
+func budgetJobs(t *testing.T, n, meet int) []Job {
 	t.Helper()
-	base, err := config.TestScaleN(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench := []string{"ammp", "parser", "swim", "mesa", "mcf", "vortex", "ammp", "swim"}
+	base := config.TestScale()
+	bench := []string{"ammp", "parser", "swim", "mesa"}
+	var started atomic.Int32
+	met := make(chan struct{})
 	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{
-			Key: fmt.Sprintf("intra-%02d", i),
+			Key: fmt.Sprintf("budget-%02d", i),
 			Run: func(seed uint64) (cmp.RunResult, error) {
+				if meet > 0 {
+					if started.Add(1) == int32(meet) {
+						close(met)
+					}
+					select {
+					case <-met:
+					case <-time.After(5 * time.Second):
+					}
+				}
 				cfg := base
 				cfg.Seed = seed
-				return cmp.RunWorkloadEngine(cfg, "SNUG", bench, 50_000,
-					cmp.Engine{Intra: true})
+				return cmp.RunWorkload(cfg, "SNUG", bench, 50_000)
 			},
 		}
 	}
 	return jobs
 }
 
-// TestSweepCPUBudgetNeverExceeded pins the composition rule: a sweep whose
-// jobs spawn intra-run epoch engines keeps the process-wide concurrent
-// simulation-goroutine count — the budget pool's token high-water mark, by
-// the cpubudget accounting contract — at or under Options.CPUBudget, even
-// with more sweep workers than tokens. The wide-budget control run proves
-// the instrument observes engine grants (peak above the worker count), so
-// the cap assertion is load-bearing, and results are identical across both
-// budgets.
+// TestSweepCPUBudgetNeverExceeded pins the budget rule: with more sweep
+// workers than GOMAXPROCS, the number of concurrent simulations (the token
+// pool's high-water mark) reaches GOMAXPROCS but never exceeds it, and
+// results are identical at every Parallelism.
 func TestSweepCPUBudgetNeverExceeded(t *testing.T) {
-	jobs := intraJobs(t, 6)
-	const budget = 3
+	const procs = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 
 	cpubudget.ResetPeak()
-	capped, err := Run(context.Background(), Options{Parallelism: 4, CPUBudget: budget, BaseSeed: 7}, jobs)
+	wide, err := Run(context.Background(), Options{Parallelism: 4, BaseSeed: 7}, budgetJobs(t, 6, procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := cpubudget.Peak(); p > budget {
-		t.Errorf("peak concurrent simulation goroutines = %d, budget %d", p, budget)
+	if p := cpubudget.Peak(); p != procs {
+		t.Errorf("peak concurrent simulations = %d with 4 workers, want GOMAXPROCS = %d", p, procs)
 	}
 
-	cpubudget.ResetPeak()
-	wide, err := Run(context.Background(), Options{Parallelism: 2, CPUBudget: 32, BaseSeed: 7}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := cpubudget.Peak(); p <= 2 {
-		t.Errorf("peak = %d with a wide budget and 2 workers; the intra-run engines drew no tokens, so the cap assertion above observes nothing", p)
-	}
-
-	if !reflect.DeepEqual(capped, wide) {
-		t.Error("results differ between CPUBudget 3 and 32; the budget must change scheduling only")
-	}
-}
-
-// TestSweepBudgetOneStoreByteIdentical: CPUBudget 1 starves every intra-run
-// engine into the serial fallback, and the resulting checkpoint store must
-// be byte-for-byte the store a wide budget writes (Parallelism 1 makes the
-// append order, and therefore the file bytes, comparable).
-func TestSweepBudgetOneStoreByteIdentical(t *testing.T) {
-	jobs := intraJobs(t, 4)
-	dir := t.TempDir()
-	onePath := filepath.Join(dir, "one.jsonl")
-	widePath := filepath.Join(dir, "wide.jsonl")
-
-	one, err := Run(context.Background(), Options{Parallelism: 1, CPUBudget: 1, Checkpoint: onePath, BaseSeed: 7}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := Run(context.Background(), Options{Parallelism: 1, CPUBudget: 16, Checkpoint: widePath, BaseSeed: 7}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, wide) {
-		t.Error("results differ between CPUBudget 1 and 16")
-	}
-	oneBytes, err := os.ReadFile(onePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wideBytes, err := os.ReadFile(widePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(oneBytes) != string(wideBytes) {
-		t.Error("checkpoint stores differ between CPUBudget 1 and 16; budget leaked into result bytes")
+	for _, par := range []int{1, 3} {
+		got, err := Run(context.Background(), Options{Parallelism: par, BaseSeed: 7}, budgetJobs(t, 6, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wide) {
+			t.Errorf("results differ between Parallelism %d and 4; the budget must change scheduling only", par)
+		}
 	}
 }
